@@ -6,16 +6,17 @@
 //   * CrossChain(j)    — j stacked cross products with a 32-row relation:
 //     output (and cost) grows as |R|^j, the Theorem 4.2 worst case.
 //   * UnionFan(u)      — u-way union fan-in: cost linear in u.
-// DeltaStats counters are exported so the row counts can be checked
-// against the formulas, not just the timings.
+// Each shape runs as a compiled DeltaPlan over one reused PlanScratch (the
+// maintenance path). DeltaStats counters are exported so the row counts can
+// be checked against the formulas, not just the timings.
 
 #include <benchmark/benchmark.h>
 
 #include <cmath>
 
-#include "algebra/delta_engine.h"
 #include "bench_common.h"
 #include "common/random.h"
+#include "exec/plan_compiler.h"
 #include "storage/chronicle_group.h"
 
 namespace chronicle {
@@ -60,6 +61,21 @@ struct Setup {
   }
 };
 
+// Executes `plan` once per iteration on a fresh append, accumulating the
+// plan's DeltaStats.
+DeltaStats RunPlan(benchmark::State& state, Setup* setup, CaExprPtr plan,
+                   int64_t key_bound) {
+  exec::DeltaPlanPtr compiled = Unwrap(exec::CompileDeltaPlan(plan));
+  exec::PlanScratch scratch;
+  DeltaStats stats;
+  for (auto _ : state) {
+    AppendEvent event = setup->NextEvent(key_bound);
+    auto delta = compiled->ExecuteToRows(event, &scratch, &stats);
+    benchmark::DoNotOptimize(delta);
+  }
+  return stats;
+}
+
 void ReportStats(benchmark::State& state, const DeltaStats& stats,
                  int64_t iterations) {
   state.counters["rows_per_delta"] =
@@ -76,13 +92,7 @@ void KeyJoinChain(benchmark::State& state) {
   for (int64_t i = 0; i < j; ++i) {
     plan = Unwrap(CaExpr::RelKeyJoin(plan, setup.rel.get(), "caller"));
   }
-  DeltaEngine engine;
-  DeltaStats stats;
-  for (auto _ : state) {
-    AppendEvent event = setup.NextEvent(100000);
-    auto delta = engine.ComputeDelta(*plan, event, &stats);
-    benchmark::DoNotOptimize(delta);
-  }
+  const DeltaStats stats = RunPlan(state, &setup, plan, 100000);
   state.counters["j"] = static_cast<double>(j);
   ReportStats(state, stats, state.iterations());
 }
@@ -96,13 +106,7 @@ void CrossChain(benchmark::State& state) {
   for (int64_t i = 0; i < j; ++i) {
     plan = Unwrap(CaExpr::RelCross(plan, setup.rel.get()));
   }
-  DeltaEngine engine;
-  DeltaStats stats;
-  for (auto _ : state) {
-    AppendEvent event = setup.NextEvent(kSmallRel);
-    auto delta = engine.ComputeDelta(*plan, event, &stats);
-    benchmark::DoNotOptimize(delta);
-  }
+  const DeltaStats stats = RunPlan(state, &setup, plan, kSmallRel);
   state.counters["j"] = static_cast<double>(j);
   state.counters["expected_rows"] =
       std::pow(static_cast<double>(kSmallRel), static_cast<double>(j));
@@ -121,13 +125,7 @@ void UnionFan(benchmark::State& state) {
         Unwrap(CaExpr::Select(scan, Gt(Col("minutes"), Lit(Value(i)))));
     plan = Unwrap(CaExpr::Union(plan, branch));
   }
-  DeltaEngine engine;
-  DeltaStats stats;
-  for (auto _ : state) {
-    AppendEvent event = setup.NextEvent(16);
-    auto delta = engine.ComputeDelta(*plan, event, &stats);
-    benchmark::DoNotOptimize(delta);
-  }
+  const DeltaStats stats = RunPlan(state, &setup, plan, 16);
   state.counters["u"] = static_cast<double>(u);
   ReportStats(state, stats, state.iterations());
 }

@@ -19,7 +19,8 @@
 // ProjectDropSn, GroupByNoSn, ChronicleCross, SeqThetaJoin — so that
 // algebra/validate.h can reject them with precise diagnostics and the
 // baseline engine can demonstrate *why* they are excluded (their maintenance
-// cost depends on |C|). The incremental DeltaEngine refuses to touch them.
+// cost depends on |C|). The plan compiler (exec/plan_compiler.h) refuses
+// to lower them.
 //
 // Nodes are immutable after construction and shared via shared_ptr<const>,
 // so subexpressions can be reused across view definitions.

@@ -7,9 +7,10 @@
 //
 //   1. The IM-C^k baseline of Proposition 3.1 / benchmark E1: per-append
 //      recomputation cost necessarily grows with |C|.
-//   2. The correctness oracle for the incremental engine: property tests
-//      recompute each view from scratch and compare row-for-row with the
-//      incrementally maintained PersistentView.
+//   2. The correctness oracle for incremental maintenance: property tests
+//      recompute each view (and each periodic instance or sliding window)
+//      from scratch and compare row-for-row with the state the compiled
+//      delta plans (exec/delta_plan.h) maintained.
 //   3. The §5.3 "batch at end of period" formulation of discount plans.
 //
 // Faithfulness of the temporal join: the chronicle model joins each
@@ -20,10 +21,10 @@
 // history is supplied the engine uses current relation contents (exact
 // whenever relations did not change mid-stream).
 //
-// Semantics match the DeltaEngine exactly: a chronicle is a set of
-// (SN, payload) rows; Union/Difference/Project deduplicate.
+// Semantics match the compiled delta plans exactly: a chronicle is a set
+// of (SN, payload) rows; Union/Difference/Project deduplicate.
 //
-// Unlike the DeltaEngine, this engine also evaluates the four Theorem 4.3
+// Unlike the delta plans, this engine also evaluates the four Theorem 4.3
 // constructs (ProjectDropSn, GroupByNoSn, ChronicleCross, SeqThetaJoin) —
 // demonstrating that they are *expressible* in relational algebra, just
 // not incrementally maintainable without chronicle access. Conventions for

@@ -562,8 +562,6 @@ obs::StatsSnapshot ChronicleDatabase::CollectStatsLocked() const {
   obs::StatsSnapshot snap;
   snap.appends_processed = appends_processed_;
   snap.live_views = views_.num_live_views();
-  snap.delta_cache_hits = views_.delta_cache_hits();
-  snap.delta_cache_misses = views_.delta_cache_misses();
   if (metrics_ != nullptr) metrics_->Snapshot(&snap.metrics);
   views_.SnapshotViewStats(&snap.views);
   if (trace_ != nullptr) {

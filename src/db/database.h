@@ -184,10 +184,6 @@ struct DatabaseOptions {
     maintenance.num_threads = n;
     return *this;
   }
-  DatabaseOptions& set_use_compiled_plans(bool on) {
-    maintenance.use_compiled_plans = on;
-    return *this;
-  }
   DatabaseOptions& set_use_columnar_kernels(bool on) {
     maintenance.use_columnar_kernels = on;
     return *this;

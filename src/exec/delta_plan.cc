@@ -322,8 +322,8 @@ Result<const std::vector<Tuple>*> DeltaPlan::Execute(const AppendEvent& event,
               rel->FindBySecondary(node.relation_column(), t[node.join_column()]);
           if (slots == nullptr) continue;
           if (slots->size() > node.max_matches()) {
-            // Same integrity-constraint failure (and text) as the
-            // interpreter: Definition 4.2 admission was unsound.
+            // Integrity-constraint failure: Definition 4.2 admission was
+            // unsound.
             return Status::FailedPrecondition(
                 "bounded join matched " + std::to_string(slots->size()) +
                 " relation tuples, declared bound is " +
@@ -527,7 +527,7 @@ std::string DeltaPlan::Explain(const std::vector<SlotProfile>* profile) const {
     // Instructions are post-order, so every input slot index is smaller
     // than its consumer's: one forward pass yields subtree-cumulative
     // time. A shared subexpression contributes its full subtree to EACH
-    // consumer (the interpreter would have recomputed it there), so the
+    // consumer (as if recomputed there), so the
     // root's cumulative share can exceed 100%; self shares always sum to
     // exactly 100%.
     for (size_t i = 0; i < instrs_.size(); ++i) {

@@ -1,16 +1,14 @@
-// Compiled delta plans: the batch-at-a-time twin of algebra/delta_engine.
+// Compiled delta plans: the one engine that maintains every view.
 //
-// DeltaEngine re-walks the CaExpr tree on every tick and pays a hash-map
-// memo probe per node, a fresh std::vector per operator, and a heap Status
-// per unmatched join key. Theorem 4.2 says the per-append algebra is cheap;
-// those constant factors are pure interpretation overhead. A DeltaPlan
-// removes them structurally:
+// Theorem 4.2 says the per-append algebra is cheap: a view's delta follows
+// from the appended tuples and current relation versions alone. A
+// DeltaPlan executes that algebra with no interpretation overhead:
 //
-//   * At view-registration time the validated CaExpr DAG is lowered into a
+//   * At registration time the validated CaExpr DAG is lowered into a
 //     flat POST-ORDER instruction list (exec/plan_compiler.h). Instructions
 //     read and write numbered operand slots; a subexpression shared by
-//     several parents is lowered ONCE and its slot read many times — the
-//     per-tick memo hashing of DeltaCache disappears by construction.
+//     several parents is lowered ONCE and its slot read many times, so no
+//     per-tick memo is needed.
 //   * Execution is batch-at-a-time over a PlanScratch: every slot is a
 //     retained std::vector<Tuple> that is cleared (never freed) between
 //     ticks, dedupe reuses a retained hash set, group-by reuses a retained
@@ -20,11 +18,12 @@
 //   * Relation probes go through the status-free Relation::FindByKey /
 //     FindBySecondary, so the inner-join miss path allocates nothing.
 //
-// Semantics are BYTE-IDENTICAL to DeltaEngine (same operator order, same
-// first-seen dedupe, same error texts for Definition 4.2 violations);
-// tests/plan_equivalence_fuzz_test.cc enforces this with randomized
-// expressions, and ViewManager keeps the interpreter available as the
-// MaintenanceOptions::use_compiled_plans=false fallback.
+// Persistent views (views/view_manager.h), periodic view sets and sliding
+// windows (src/periodic) all execute through this class. Semantics (same
+// operator order, same first-seen dedupe, same error texts for Definition
+// 4.2 violations) are checked by tests/plan_equivalence_fuzz_test.cc
+// against a test-only tree-walking interpreter, and the view contents by
+// the NaiveEngine recompute oracle (baseline/naive_engine.h).
 //
 // Thread safety: a DeltaPlan is immutable after compilation and may be
 // executed concurrently; all mutable state lives in the caller-owned
@@ -33,6 +32,7 @@
 #ifndef CHRONICLE_EXEC_DELTA_PLAN_H_
 #define CHRONICLE_EXEC_DELTA_PLAN_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
@@ -40,7 +40,6 @@
 
 #include "aggregates/aggregate.h"
 #include "algebra/ca_expr.h"
-#include "algebra/delta_engine.h"
 #include "common/arena.h"
 #include "common/status.h"
 #include "exec/column_batch.h"
@@ -48,6 +47,21 @@
 #include "storage/chronicle_group.h"
 
 namespace chronicle {
+
+// Work counters for one delta execution (DeltaPlan::Execute); benchmarks
+// E6/E8 and the per-view obs::ViewStats read them to check the Theorem 4.2
+// time/space story.
+struct DeltaStats {
+  // Largest intermediate delta (in rows) materialized at any node.
+  size_t max_intermediate_rows = 0;
+  // Total rows produced across all nodes (proxy for work done).
+  size_t total_rows_produced = 0;
+  // Relation index lookups performed (the log|R| / O(1) component).
+  size_t relation_lookups = 0;
+  // Relation rows scanned by cross products (the |R|^j component).
+  size_t relation_rows_scanned = 0;
+};
+
 namespace exec {
 
 // The compiled operator set: exactly the legal CA operators (Definition
@@ -151,7 +165,6 @@ class PlanScratch {
 
   // Reusable-footprint accounting (bench E13 / tests / obs).
   size_t num_slots() const { return slots_.size(); }
-  size_t arena_bytes_reserved() const { return arena_.bytes_reserved(); }
   // Arena bytes handed out by the most recent execution (reset on the
   // next Prepare); the obs layer's per-tick arena high-water gauge.
   size_t arena_bytes_allocated() const { return arena_.bytes_allocated(); }
@@ -170,7 +183,6 @@ class PlanScratch {
   // The caller samples (every Nth tick), folds the arrays into its own
   // SlotProfile accumulator, and turns the flag back off.
   void set_profile_slots(bool on) { profile_slots_ = on; }
-  bool profile_slots() const { return profile_slots_; }
   const std::vector<uint64_t>& slot_ns() const { return slot_ns_; }
   const std::vector<uint64_t>& slot_rows() const { return slot_rows_; }
   // 1 per slot that executed on the vector engine in the last profiled
@@ -182,7 +194,6 @@ class PlanScratch {
   // executor state: flipping it never requires recompiling plans, and the
   // two modes are byte-identical by construction.
   void set_columnar_enabled(bool on) { columnar_enabled_ = on; }
-  bool columnar_enabled() const { return columnar_enabled_; }
 
  private:
   friend class DeltaPlan;
@@ -236,14 +247,14 @@ class DeltaPlan {
   // Executes the plan for one append event. Returns the root delta as a
   // pointer into `scratch` — valid until the scratch's next execution.
   // All rows conceptually carry event.sn (ExecuteToRows stamps it).
-  // `stats` may be null; counters match the interpreter's exactly.
+  // `stats` may be null.
   Result<const std::vector<Tuple>*> Execute(const AppendEvent& event,
                                             PlanScratch* scratch,
                                             DeltaStats* stats) const;
 
-  // Execute + SN stamping into the scratch's retained row buffer: the
-  // drop-in replacement for DeltaEngine::ComputeDelta on the maintenance
-  // path. The returned pointer is valid until the scratch's next use.
+  // Execute + SN stamping into the scratch's retained row buffer: what the
+  // maintenance path folds into views. The returned pointer is valid until
+  // the scratch's next use.
   Result<const std::vector<ChronicleRow>*> ExecuteToRows(
       const AppendEvent& event, PlanScratch* scratch,
       DeltaStats* stats) const;
@@ -254,15 +265,9 @@ class DeltaPlan {
   size_t num_slots() const { return instrs_.size(); }
   uint32_t root_slot() const { return root_slot_; }
   // DAG edges that were resolved to an already-compiled slot — each one is
-  // a whole subtree the interpreter would have re-memoized every tick.
+  // a whole subtree executed once per tick instead of once per parent.
   size_t shared_subexpressions() const { return shared_subexpressions_; }
   const CaExprPtr& root() const { return root_; }
-  // Instructions the compiler routed to the vector engine.
-  size_t vectorized_instructions() const {
-    size_t n = 0;
-    for (const PlanInstr& instr : instrs_) n += instr.columnar ? 1 : 0;
-    return n;
-  }
 
   // One instruction per line: "s3 = Union(s1, s2)".
   std::string ToString() const;

@@ -34,7 +34,8 @@ Result<PlanOp> LowerOp(const CaExpr& node) {
     case CaOp::kGroupByNoSn:
     case CaOp::kChronicleCross:
     case CaOp::kSeqThetaJoin:
-      // Mirror algebra/delta_engine.cc verbatim: one diagnostic surface.
+      // The same text as the interpreter oracle (tests/oracle): one
+      // diagnostic surface.
       return Status::InvalidArgument(
           std::string("operator ") + CaOpToString(node.op()) +
           " is outside chronicle algebra and cannot be maintained "

@@ -1,16 +1,18 @@
 // Lowering of chronicle-algebra DAGs into flat DeltaPlans.
 //
 // Compilation happens once, at view-registration time — never on the
-// append path. The compiler walks the shared-const CaExpr DAG in post
+// append path. Every maintained view is compiled here: persistent views
+// (ViewManager::AddView), periodic view sets and sliding windows (their
+// Make factories). The compiler walks the shared-const CaExpr DAG in post
 // order, assigns each DISTINCT node one output slot, and emits one
 // instruction per distinct node: a subexpression reachable through many
-// parents (the same scan under every branch of a union fan, a guarded
-// selection shared by two views' plans) is compiled once and referenced by
-// slot thereafter. That is the whole DeltaCache, paid at compile time.
+// parents (the same scan under every branch of a union fan) is compiled
+// once and referenced by slot thereafter, so sharing is paid at compile
+// time instead of memoized per tick.
 //
-// The four Theorem 4.3 constructs are rejected with the interpreter's
-// exact diagnostic, so callers see one error surface regardless of
-// execution mode.
+// The compiler is the one error surface for plans outside chronicle
+// algebra: the four Theorem 4.3 constructs are rejected here, with the
+// same diagnostic the test-only interpreter oracle gives.
 
 #ifndef CHRONICLE_EXEC_PLAN_COMPILER_H_
 #define CHRONICLE_EXEC_PLAN_COMPILER_H_

@@ -6,7 +6,7 @@
 // accumulation order (pass-2 aggregate loops walk rows in input order, so
 // per-group double sums fold in exactly the row engine's order), same
 // DeltaStats counters. tests/plan_equivalence_fuzz_test.cc triangulates
-// interpreter vs row-compiled vs columnar on random plans.
+// the interpreter oracle vs row-compiled vs columnar on random plans.
 //
 // Engine decision: PlanCompiler calls PlanVectorInstr once per instruction
 // at view-registration time. It returns a VecInstrInfo when the operator

@@ -275,8 +275,6 @@ std::string RenderText(const StatsSnapshot& snapshot) {
   std::string out;
   Appendf(&out, "appends processed: %" PRIu64 "\n", snapshot.appends_processed);
   Appendf(&out, "live views:        %" PRIu64 "\n", snapshot.live_views);
-  Appendf(&out, "delta cache:       %" PRIu64 " hits / %" PRIu64 " misses\n",
-          snapshot.delta_cache_hits, snapshot.delta_cache_misses);
   Appendf(&out, "trace ring:        %" PRIu64 " spans emitted (capacity %" PRIu64 ")\n",
           snapshot.trace_emitted, snapshot.trace_capacity);
   if (!snapshot.metrics.empty()) {
@@ -435,10 +433,6 @@ std::string RenderPrometheus(const StatsSnapshot& snapshot) {
               snapshot.appends_processed);
   PromCounter(&out, "chronicle_live_views", "Currently registered views",
               snapshot.live_views);
-  PromCounter(&out, "chronicle_delta_cache_hits_total",
-              "Delta memo cache hits", snapshot.delta_cache_hits);
-  PromCounter(&out, "chronicle_delta_cache_misses_total",
-              "Delta memo cache misses", snapshot.delta_cache_misses);
   PromCounter(&out, "chronicle_trace_spans_emitted_total",
               "Spans emitted into the trace ring", snapshot.trace_emitted);
 
@@ -469,9 +463,6 @@ std::string RenderPrometheus(const StatsSnapshot& snapshot) {
         {"chronicle_view_compiled_ticks_total",
          "Ticks served by the compiled plan",
          [](const ViewStats& s) { return s.compiled_ticks; }},
-        {"chronicle_view_interpreted_ticks_total",
-         "Ticks served by the interpreter",
-         [](const ViewStats& s) { return s.interpreted_ticks; }},
         {"chronicle_view_relation_lookups_total",
          "Relation index probes during maintenance",
          [](const ViewStats& s) { return s.relation_lookups; }},
@@ -732,8 +723,6 @@ std::string RenderJson(const StatsSnapshot& snapshot) {
   out += "{";
   Appendf(&out, "\"appends_processed\":%" PRIu64 ",", snapshot.appends_processed);
   Appendf(&out, "\"live_views\":%" PRIu64 ",", snapshot.live_views);
-  Appendf(&out, "\"delta_cache\":{\"hits\":%" PRIu64 ",\"misses\":%" PRIu64 "},",
-          snapshot.delta_cache_hits, snapshot.delta_cache_misses);
   Appendf(&out, "\"trace\":{\"emitted\":%" PRIu64 ",\"capacity\":%" PRIu64 "},",
           snapshot.trace_emitted, snapshot.trace_capacity);
 
@@ -758,11 +747,11 @@ std::string RenderJson(const StatsSnapshot& snapshot) {
     Appendf(&out,
             "{\"name\":\"%s\",\"ticks\":%" PRIu64 ",\"updates\":%" PRIu64
             ",\"delta_rows\":%" PRIu64 ",\"compiled_ticks\":%" PRIu64
-            ",\"interpreted_ticks\":%" PRIu64 ",\"relation_lookups\":%" PRIu64
+            ",\"relation_lookups\":%" PRIu64
             ",\"max_intermediate_rows\":%" PRIu64 ",\"plan_slots\":%u"
             ",\"arena_hwm_bytes\":%" PRIu64 ",\"max_dedupe_load\":%s",
             Escape(v.name).c_str(), s.ticks, s.updates, s.delta_rows,
-            s.compiled_ticks, s.interpreted_ticks, s.relation_lookups,
+            s.compiled_ticks, s.relation_lookups,
             s.max_intermediate_rows, s.plan_slots, s.arena_hwm_bytes,
             Dbl(s.max_dedupe_load).c_str());
     if (v.profiled) {

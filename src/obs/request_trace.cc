@@ -7,6 +7,8 @@
 #include <map>
 #include <utility>
 
+#include "obs/seqlock.h"
+
 namespace chronicle {
 namespace obs {
 
@@ -224,9 +226,8 @@ void RequestTracer::Emit(const TraceContext& ctx, uint64_t span_id,
   if (slots_.empty()) return;
   const uint64_t seq = next_.fetch_add(1, std::memory_order_relaxed);
   Slot& slot = slots_[seq & (slots_.size() - 1)];
-  const uint64_t v = slot.version.load(std::memory_order_relaxed);
-  slot.version.store(v + 1, std::memory_order_release);
-  std::atomic_thread_fence(std::memory_order_release);
+  uint64_t claimed = 0;
+  if (!SeqlockClaim(&slot.version, slot.seq, seq, &claimed)) return;
   slot.seq.store(seq, std::memory_order_relaxed);
   slot.trace_hi.store(ctx.trace_hi, std::memory_order_relaxed);
   slot.trace_lo.store(ctx.trace_lo, std::memory_order_relaxed);
@@ -238,7 +239,7 @@ void RequestTracer::Emit(const TraceContext& ctx, uint64_t span_id,
   slot.start_ns.store(start_ns, std::memory_order_relaxed);
   slot.duration_ns.store(duration_ns, std::memory_order_relaxed);
   slot.detail.store(detail, std::memory_order_relaxed);
-  slot.version.store(v + 2, std::memory_order_release);
+  SeqlockRelease(&slot.version, claimed);
 }
 
 void RequestTracer::CountRequest(ReqEndpoint endpoint, bool error,

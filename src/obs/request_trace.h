@@ -24,7 +24,8 @@
 //
 // Storage is the same per-slot seqlock ring discipline as obs::TraceRing:
 // emission is one relaxed fetch_add plus relaxed payload stores bracketed
-// by an odd/even version, so shard workers and HTTP threads emit
+// by an odd/even version claimed with a compare-exchange (obs/seqlock.h,
+// shared by both rings), so shard workers and HTTP threads emit
 // concurrently without locks and a reader snapshotting mid-overwrite
 // drops the torn slot instead of returning garbage. Span trees are
 // stitched on READ by grouping the ring on trace id — nothing at emission

@@ -83,10 +83,12 @@ struct ViewStats {
   uint64_t updates = 0;            // ticks that produced >= 1 delta row
   uint64_t delta_rows = 0;         // total rows folded into the view
   uint64_t compiled_ticks = 0;     // ticks served by the compiled DeltaPlan
-  uint64_t interpreted_ticks = 0;  // ticks served by the interpreter
+  // Always 0: every view runs its compiled plan. Kept so existing readers
+  // of ViewStats still compile; no exporter renders it.
+  uint64_t interpreted_ticks = 0;
   uint64_t relation_lookups = 0;   // index probes (the log|R|/O(1) term)
   uint64_t max_intermediate_rows = 0;  // high-water across all ticks
-  // Compiled-execution pressure gauges (0 for interpreter-only views).
+  // Compiled-execution pressure gauges.
   uint32_t plan_slots = 0;         // slots in the compiled program (static)
   uint64_t arena_hwm_bytes = 0;    // per-tick arena high-water mark
   double max_dedupe_load = 0.0;    // dedupe-set load factor high-water
@@ -246,8 +248,6 @@ struct ReqStatsSnapshot {
 struct StatsSnapshot {
   uint64_t appends_processed = 0;
   uint64_t live_views = 0;
-  uint64_t delta_cache_hits = 0;
-  uint64_t delta_cache_misses = 0;
   std::vector<MetricSample> metrics;     // registry, registration order
   std::vector<ViewStatsSnapshot> views;  // live views, registration order
   WalStatsSnapshot wal;

@@ -1,5 +1,7 @@
 #include "obs/trace.h"
 
+#include "obs/seqlock.h"
+
 namespace chronicle {
 namespace obs {
 
@@ -39,14 +41,11 @@ void TraceRing::Emit(SpanKind kind, uint16_t worker, uint64_t sn,
   if (slots_.empty()) return;
   const uint64_t seq = next_.fetch_add(1, std::memory_order_relaxed);
   Slot& slot = slots_[seq & (slots_.size() - 1)];
-  // Seqlock write: odd version in, fields, even version out. The payload
-  // stores are relaxed (they are ordered by the release stores on
-  // version); two writers can only collide on one slot after the ring
-  // wraps within a single tick, in which case the slot ends even and
-  // holds one of the two spans — still coherent.
-  const uint64_t v = slot.version.load(std::memory_order_relaxed);
-  slot.version.store(v + 1, std::memory_order_release);
-  std::atomic_thread_fence(std::memory_order_release);
+  // Seqlock write (obs/seqlock.h): claim the slot odd, store the fields
+  // relaxed, release it even. A writer lapped by a newer span on the same
+  // slot drops its own.
+  uint64_t claimed = 0;
+  if (!SeqlockClaim(&slot.version, slot.seq, seq, &claimed)) return;
   slot.seq.store(seq, std::memory_order_relaxed);
   slot.kind.store(static_cast<uint8_t>(kind), std::memory_order_relaxed);
   slot.worker.store(worker, std::memory_order_relaxed);
@@ -55,7 +54,7 @@ void TraceRing::Emit(SpanKind kind, uint16_t worker, uint64_t sn,
   slot.duration_ns.store(duration_ns, std::memory_order_relaxed);
   slot.detail0.store(detail0, std::memory_order_relaxed);
   slot.detail1.store(detail1, std::memory_order_relaxed);
-  slot.version.store(v + 2, std::memory_order_release);
+  SeqlockRelease(&slot.version, claimed);
 }
 
 bool TraceRing::ReadSlot(const Slot& slot, TraceSpan* out) {

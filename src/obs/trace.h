@@ -5,17 +5,20 @@
 // the batch-order merge — so a stall or an imbalance is visible after the
 // fact without a profiler attached. The ring is sized at construction and
 // NEVER allocates on the emission path: a span costs one relaxed
-// fetch_add to claim a slot plus a handful of relaxed stores. Old spans
+// fetch_add to pick a slot, one compare-exchange to claim it, and a
+// handful of relaxed stores. Old spans
 // are overwritten (it is a flight recorder, not a log); Snapshot() returns
 // the retained window oldest-first.
 //
-// Concurrency: emission is lock-free and safe from multiple workers —
-// each Emit claims a distinct slot. Snapshot may now run CONCURRENTLY with
-// emission (the live monitoring endpoint and the flight recorder read the
-// ring from other threads): every slot is a seqlock — an atomic version
-// that is odd while a writer is inside plus atomic fields — so a reader
-// that races an overwrite detects the torn slot (version odd, or changed
-// across the read) and drops that span instead of returning garbage.
+// Concurrency: emission is safe from multiple workers — each Emit takes a
+// distinct emission number, and writers whose numbers map to one slot
+// after a wrap take turns on it (obs/seqlock.h); the newest span wins.
+// Snapshot may run CONCURRENTLY with emission (the live monitoring
+// endpoint and the flight recorder read the ring from other threads):
+// every slot is a seqlock — an atomic version that is odd while a writer
+// is inside plus atomic fields — so a reader that races an overwrite
+// detects the torn slot (version odd, or changed across the read) and
+// drops that span instead of returning garbage.
 //
 // Timestamps are steady-clock nanoseconds relative to the ring's creation
 // (NowNanos), so spans from one process compare directly and no wall-clock

@@ -1,6 +1,6 @@
 #include "periodic/periodic_view.h"
 
-#include "algebra/validate.h"
+#include "exec/plan_compiler.h"
 
 namespace chronicle {
 
@@ -21,10 +21,12 @@ Result<std::unique_ptr<PeriodicViewSet>> PeriodicViewSet::Make(
     return Status::InvalidArgument(
         "periodic view requires a plan and a calendar");
   }
-  CHRONICLE_RETURN_NOT_OK(ValidateChronicleAlgebra(*plan));
-  return std::unique_ptr<PeriodicViewSet>(
+  std::unique_ptr<PeriodicViewSet> set(
       new PeriodicViewSet(std::move(name), std::move(plan), std::move(spec),
                           std::move(calendar), options));
+  CHRONICLE_ASSIGN_OR_RETURN(set->compiled_,
+                             exec::CompileDeltaPlan(set->plan_));
+  return set;
 }
 
 Status PeriodicViewSet::ProcessAppend(const AppendEvent& event) {
@@ -32,9 +34,10 @@ Status PeriodicViewSet::ProcessAppend(const AppendEvent& event) {
   calendar_->IntervalsContaining(event.chronon, &containing);
   if (!containing.empty()) {
     // One shared delta for every containing instance.
-    CHRONICLE_ASSIGN_OR_RETURN(std::vector<ChronicleRow> delta,
-                               engine_.ComputeDelta(*plan_, event));
-    if (!delta.empty()) {
+    CHRONICLE_ASSIGN_OR_RETURN(
+        const std::vector<ChronicleRow>* delta,
+        compiled_->ExecuteToRows(event, &scratch_, /*stats=*/nullptr));
+    if (!delta->empty()) {
       for (int64_t index : containing) {
         auto it = instances_.find(index);
         if (it == instances_.end()) {
@@ -47,7 +50,7 @@ Status PeriodicViewSet::ProcessAppend(const AppendEvent& event) {
           it = instances_.emplace(index, std::move(instance)).first;
           ++instances_created_;
         }
-        CHRONICLE_RETURN_NOT_OK(it->second->ApplyDelta(delta));
+        CHRONICLE_RETURN_NOT_OK(it->second->ApplyDelta(*delta));
       }
     }
   }

@@ -9,11 +9,11 @@
 // Instances are created lazily when the first tick inside their interval
 // arrives, maintained while their interval is current, and expired (their
 // space reclaimed) once their interval has been closed for longer than the
-// configured grace period. Each append computes the delta of the shared
-// defining expression ONCE and folds it into every containing instance —
-// so for a sliding calendar with overlap factor W/s this costs W/s view
-// updates per append; the SlidingWindowView optimization removes that
-// factor.
+// configured grace period. Each append executes the compiled delta plan of
+// the shared defining expression ONCE and folds it into every containing
+// instance — so for a sliding calendar with overlap factor W/s this costs
+// W/s view updates per append; the SlidingWindowView optimization removes
+// that factor.
 
 #ifndef CHRONICLE_PERIODIC_PERIODIC_VIEW_H_
 #define CHRONICLE_PERIODIC_PERIODIC_VIEW_H_
@@ -24,7 +24,7 @@
 #include <string>
 #include <vector>
 
-#include "algebra/delta_engine.h"
+#include "exec/delta_plan.h"
 #include "periodic/calendar.h"
 #include "views/persistent_view.h"
 
@@ -39,8 +39,9 @@ struct PeriodicViewOptions {
 
 class PeriodicViewSet {
  public:
-  // `plan` must pass ValidateChronicleAlgebra; `calendar` is shared because
-  // several periodic views often run on one business calendar.
+  // `plan` is compiled here (exec::CompileDeltaPlan); a plan outside
+  // chronicle algebra fails with the compiler's error. `calendar` is shared
+  // because several periodic views often run on one business calendar.
   static Result<std::unique_ptr<PeriodicViewSet>> Make(
       std::string name, CaExprPtr plan, SummarySpec spec,
       std::shared_ptr<const Calendar> calendar,
@@ -96,7 +97,8 @@ class PeriodicViewSet {
   SummarySpec spec_;
   std::shared_ptr<const Calendar> calendar_;
   PeriodicViewOptions options_;
-  DeltaEngine engine_;
+  exec::DeltaPlanPtr compiled_;
+  exec::PlanScratch scratch_;  // reused across ticks (clear, don't free)
 
   // interval index -> live instance, kept ordered so expiration scans the
   // oldest instances first.

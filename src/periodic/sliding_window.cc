@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <unordered_set>
 
-#include "algebra/validate.h"
+#include "exec/plan_compiler.h"
 
 namespace chronicle {
 
@@ -30,7 +30,6 @@ Result<std::unique_ptr<SlidingWindowView>> SlidingWindowView::Make(
   if (plan == nullptr) {
     return Status::InvalidArgument("sliding-window view requires a plan");
   }
-  CHRONICLE_RETURN_NOT_OK(ValidateChronicleAlgebra(*plan));
   if (spec.kind() != SummarySpec::Kind::kGroupBy) {
     return Status::InvalidArgument(
         "the pane optimization requires decomposable aggregates (GroupBy "
@@ -39,9 +38,12 @@ Result<std::unique_ptr<SlidingWindowView>> SlidingWindowView::Make(
   if (pane_width <= 0 || num_panes <= 0) {
     return Status::InvalidArgument("pane width and count must be positive");
   }
-  return std::unique_ptr<SlidingWindowView>(
+  std::unique_ptr<SlidingWindowView> view(
       new SlidingWindowView(std::move(name), std::move(plan), std::move(spec),
                             origin, pane_width, num_panes, index_mode));
+  CHRONICLE_ASSIGN_OR_RETURN(view->compiled_,
+                             exec::CompileDeltaPlan(view->plan_));
+  return view;
 }
 
 Status SlidingWindowView::ProcessAppend(const AppendEvent& event) {
@@ -50,10 +52,11 @@ Status SlidingWindowView::ProcessAppend(const AppendEvent& event) {
   if (pane_index < current_pane_) {
     return Status::OutOfRange("chronon regressed below the current pane");
   }
-  CHRONICLE_ASSIGN_OR_RETURN(std::vector<ChronicleRow> delta,
-                             engine_.ComputeDelta(*plan_, event));
+  CHRONICLE_ASSIGN_OR_RETURN(
+      const std::vector<ChronicleRow>* delta,
+      compiled_->ExecuteToRows(event, &scratch_, /*stats=*/nullptr));
   current_pane_ = pane_index;
-  if (delta.empty()) return Status::OK();
+  if (delta->empty()) return Status::OK();
 
   Pane& pane = ring_[static_cast<size_t>(pane_index % num_panes_)];
   if (pane.pane_index != pane_index) {
@@ -61,7 +64,7 @@ Status SlidingWindowView::ProcessAppend(const AppendEvent& event) {
     pane.groups.Clear();
     pane.pane_index = pane_index;
   }
-  for (const ChronicleRow& row : delta) {
+  for (const ChronicleRow& row : *delta) {
     Tuple key = spec_.KeyOf(row.values);
     std::vector<AggState>* states = pane.groups.Find(key);
     if (states == nullptr) {

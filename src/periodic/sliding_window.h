@@ -30,7 +30,7 @@
 #include <string>
 #include <vector>
 
-#include "algebra/delta_engine.h"
+#include "exec/delta_plan.h"
 #include "periodic/calendar.h"
 #include "storage/keyed_table.h"
 #include "views/summary_spec.h"
@@ -39,8 +39,10 @@ namespace chronicle {
 
 class SlidingWindowView {
  public:
-  // `spec` must be a GroupBy summarization (decomposable aggregates);
-  // pane_width > 0, num_panes > 0.
+  // `plan` is compiled here (exec::CompileDeltaPlan); a plan outside
+  // chronicle algebra fails with the compiler's error. `spec` must be a
+  // GroupBy summarization (decomposable aggregates); pane_width > 0,
+  // num_panes > 0.
   static Result<std::unique_ptr<SlidingWindowView>> Make(
       std::string name, CaExprPtr plan, SummarySpec spec, Chronon origin,
       Chronon pane_width, int64_t num_panes,
@@ -104,7 +106,8 @@ class SlidingWindowView {
   Chronon pane_width_;
   int64_t num_panes_;
   IndexMode index_mode_;
-  DeltaEngine engine_;
+  exec::DeltaPlanPtr compiled_;
+  exec::PlanScratch scratch_;  // reused across ticks (clear, don't free)
 
   std::vector<Pane> ring_;
   int64_t current_pane_ = -1;

@@ -5,7 +5,6 @@
 
 #include "common/stopwatch.h"
 #include "exec/plan_compiler.h"
-#include "obs/export.h"
 
 namespace chronicle {
 
@@ -74,15 +73,10 @@ Result<ViewId> ViewManager::AddView(std::unique_ptr<PersistentView> view) {
   std::vector<const ScalarExpr*> pending;
   CollectGuards(*entry.view->plan(), &pending, &entry.guards);
 
-  // Lower the plan once, here — never on the append path. A non-CA plan
-  // (rejected by the compiler exactly as the interpreter would per tick)
-  // simply stays interpreted, preserving the legacy error surface.
-  Result<exec::DeltaPlanPtr> compiled =
-      exec::CompileDeltaPlan(entry.view->plan());
-  if (compiled.ok()) {
-    entry.compiled = std::move(compiled).value();
-    entry.stats.plan_slots = static_cast<uint32_t>(entry.compiled->num_slots());
-  }
+  // Lower the plan once, here — never on the append path.
+  CHRONICLE_ASSIGN_OR_RETURN(entry.compiled,
+                             exec::CompileDeltaPlan(entry.view->plan()));
+  entry.stats.plan_slots = static_cast<uint32_t>(entry.compiled->num_slots());
 
   // Eligible for the eq index iff the view reads exactly one chronicle
   // through exactly one scan, and that scan's guard has an eq conjunct:
@@ -146,21 +140,24 @@ Result<const PersistentView*> ViewManager::GetView(ViewId id) const {
   return static_cast<const PersistentView*>(views_[id].view.get());
 }
 
-Result<PersistentView*> ViewManager::FindView(const std::string& name) {
-  auto it = by_name_.find(name);
-  if (it == by_name_.end()) {
-    return Status::NotFound("no view named '" + name + "'");
-  }
-  return views_[it->second].view.get();
-}
-
-Result<const PersistentView*> ViewManager::FindView(
+Result<const ViewManager::ViewEntry*> ViewManager::FindEntry(
     const std::string& name) const {
   auto it = by_name_.find(name);
   if (it == by_name_.end()) {
     return Status::NotFound("no view named '" + name + "'");
   }
-  return static_cast<const PersistentView*>(views_[it->second].view.get());
+  return &views_[it->second];
+}
+
+Result<PersistentView*> ViewManager::FindView(const std::string& name) {
+  CHRONICLE_ASSIGN_OR_RETURN(const ViewEntry* entry, FindEntry(name));
+  return entry->view.get();
+}
+
+Result<const PersistentView*> ViewManager::FindView(
+    const std::string& name) const {
+  CHRONICLE_ASSIGN_OR_RETURN(const ViewEntry* entry, FindEntry(name));
+  return static_cast<const PersistentView*>(entry->view.get());
 }
 
 Result<bool> ViewManager::GuardsPass(const ViewEntry& entry,
@@ -191,7 +188,6 @@ Result<bool> ViewManager::GuardsPass(const ViewEntry& entry,
 
 Result<MaintenanceReport> ViewManager::ProcessAppend(const AppendEvent& event) {
   MaintenanceReport report;
-  cache_.Clear();  // node deltas memoized below are valid for this tick only
 
   // Observability: with metrics detached, this tick takes zero clock reads
   // beyond the seed's. With tracing on, all timestamps come from the
@@ -277,10 +273,9 @@ Result<MaintenanceReport> ViewManager::ProcessAppend(const AppendEvent& event) {
   const bool parallel =
       pool_ != nullptr && work.size() >= 2 * options_.min_views_per_task;
   if (!parallel) {
-    // Serial path: one shared cache (interpreter) / one scratch (compiled).
+    // Serial path: one scratch for every view.
     for (ViewId id : work) {
-      CHRONICLE_RETURN_NOT_OK(MaintainOne(id, event, &cache_, &scratch_, 0,
-                                          &report));
+      CHRONICLE_RETURN_NOT_OK(MaintainOne(id, event, &scratch_, 0, &report));
     }
     if (obs_on) {
       const int64_t tick_end = now_ns();
@@ -320,9 +315,7 @@ Status ViewManager::BackfillView(ViewId id, const AppendEvent& event,
   if (id >= views_.size() || views_[id].view == nullptr) {
     return Status::NotFound("no view with id " + std::to_string(id));
   }
-  cache_.Clear();  // node deltas memoized below are valid for this event only
-  CHRONICLE_RETURN_NOT_OK(
-      MaintainOne(id, event, &cache_, &scratch_, 0, report));
+  CHRONICLE_RETURN_NOT_OK(MaintainOne(id, event, &scratch_, 0, report));
   if (metrics_ != nullptr) {
     size_t rows = 0;
     for (const auto& [chron, tuples] : event.inserts) {
@@ -344,66 +337,50 @@ Result<const std::set<ChronicleId>*> ViewManager::ViewChronicles(
 }
 
 Status ViewManager::MaintainOne(ViewId id, const AppendEvent& event,
-                                DeltaCache* cache, exec::PlanScratch* scratch,
-                                size_t worker, MaintenanceReport* report) {
+                                exec::PlanScratch* scratch, size_t worker,
+                                MaintenanceReport* report) {
   ViewEntry& entry = views_[id];
   Stopwatch watch;
-  // With metrics attached, the engines fill a DeltaStats (the same hook the
+  // With metrics attached, the plan fills a DeltaStats (the same hook the
   // benches use) and the per-view ViewStats absorbs it below. entry.stats
   // is single-writer: this view belongs to exactly `worker` this tick.
   const bool obs_on = metrics_ != nullptr;
   DeltaStats delta_stats;
   DeltaStats* stats = obs_on ? &delta_stats : nullptr;
-  const bool compiled_path =
-      options_.use_compiled_plans && entry.compiled != nullptr;
   // EXPLAIN sampling: every plan_sample_period_-th tick of this view runs
   // with per-instruction clocks. profile_clock is single-writer, same
   // discipline as entry.stats.
   const bool profile_tick =
-      plan_profiling_ && compiled_path &&
-      entry.profile_clock++ % plan_sample_period_ == 0;
-  size_t rows = 0;
-  if (compiled_path) {
-    scratch->set_profile_slots(profile_tick);
-    // Compiled fast path: delta lands in the scratch's retained row buffer
-    // — no per-view allocation at steady state.
-    CHRONICLE_ASSIGN_OR_RETURN(
-        const std::vector<ChronicleRow>* delta,
-        entry.compiled->ExecuteToRows(event, scratch, stats));
-    rows = delta->size();
-    if (profile_tick) {
-      // Fold the sampled per-slot timings into the view's accumulator
-      // (single-writer, like entry.stats) and disarm the scratch.
-      std::vector<exec::SlotProfile>& prof = entry.slot_profile;
-      if (prof.size() != entry.compiled->num_slots()) {
-        prof.assign(entry.compiled->num_slots(), exec::SlotProfile{});
-      }
-      const std::vector<uint64_t>& ns = scratch->slot_ns();
-      const std::vector<uint64_t>& slot_rows = scratch->slot_rows();
-      const std::vector<uint8_t>& slot_vec = scratch->slot_vec();
-      for (size_t i = 0; i < prof.size(); ++i) {
-        prof[i].ns += ns[i];
-        prof[i].rows += slot_rows[i];
-        ++prof[i].samples;
-        prof[i].vec_samples += slot_vec[i];
-      }
-      scratch->set_profile_slots(false);
+      plan_profiling_ && entry.profile_clock++ % plan_sample_period_ == 0;
+  scratch->set_profile_slots(profile_tick);
+  // The delta lands in the scratch's retained row buffer — no per-view
+  // allocation at steady state.
+  CHRONICLE_ASSIGN_OR_RETURN(
+      const std::vector<ChronicleRow>* delta,
+      entry.compiled->ExecuteToRows(event, scratch, stats));
+  const size_t rows = delta->size();
+  if (profile_tick) {
+    // Fold the sampled per-slot timings into the view's accumulator
+    // (single-writer, like entry.stats) and disarm the scratch.
+    std::vector<exec::SlotProfile>& prof = entry.slot_profile;
+    if (prof.size() != entry.compiled->num_slots()) {
+      prof.assign(entry.compiled->num_slots(), exec::SlotProfile{});
     }
-    if (!delta->empty()) {
-      CHRONICLE_RETURN_NOT_OK(entry.view->ApplyDelta(*delta));
-      ++report->views_updated;
-      report->delta_rows_applied += delta->size();
+    const std::vector<uint64_t>& ns = scratch->slot_ns();
+    const std::vector<uint64_t>& slot_rows = scratch->slot_rows();
+    const std::vector<uint8_t>& slot_vec = scratch->slot_vec();
+    for (size_t i = 0; i < prof.size(); ++i) {
+      prof[i].ns += ns[i];
+      prof[i].rows += slot_rows[i];
+      ++prof[i].samples;
+      prof[i].vec_samples += slot_vec[i];
     }
-  } else {
-    CHRONICLE_ASSIGN_OR_RETURN(
-        std::vector<ChronicleRow> delta,
-        engine_.ComputeDelta(*entry.view->plan(), event, stats, cache));
-    rows = delta.size();
-    if (!delta.empty()) {
-      CHRONICLE_RETURN_NOT_OK(entry.view->ApplyDelta(delta));
-      ++report->views_updated;
-      report->delta_rows_applied += delta.size();
-    }
+    scratch->set_profile_slots(false);
+  }
+  if (rows > 0) {
+    CHRONICLE_RETURN_NOT_OK(entry.view->ApplyDelta(*delta));
+    ++report->views_updated;
+    report->delta_rows_applied += rows;
   }
   if (obs_on) {
     obs::ViewStats& s = entry.stats;
@@ -414,19 +391,15 @@ Status ViewManager::MaintainOne(ViewId id, const AppendEvent& event,
     if (delta_stats.max_intermediate_rows > s.max_intermediate_rows) {
       s.max_intermediate_rows = delta_stats.max_intermediate_rows;
     }
-    if (compiled_path) {
-      ++s.compiled_ticks;
-      if (scratch->arena_bytes_allocated() > s.arena_hwm_bytes) {
-        s.arena_hwm_bytes = scratch->arena_bytes_allocated();
-      }
-      const double load = scratch->dedupe_load_factor();
-      if (load > s.max_dedupe_load) s.max_dedupe_load = load;
-    } else {
-      ++s.interpreted_ticks;
+    ++s.compiled_ticks;
+    if (scratch->arena_bytes_allocated() > s.arena_hwm_bytes) {
+      s.arena_hwm_bytes = scratch->arena_bytes_allocated();
     }
+    const double load = scratch->dedupe_load_factor();
+    if (load > s.max_dedupe_load) s.max_dedupe_load = load;
     metrics_->Count(m_view_ticks_, 1, worker);
     metrics_->Count(m_view_delta_rows_, rows, worker);
-    report->views.push_back(MaintenanceViewOutcome{id, rows, compiled_path});
+    report->views.push_back(MaintenanceViewOutcome{id, rows});
   }
   if (profiling_) entry.latency.Record(watch.ElapsedNanos());
   return Status::OK();
@@ -445,9 +418,6 @@ Status ViewManager::MaintainParallel(const std::vector<ViewId>& work,
   struct TaskState {
     Status status;
     MaintenanceReport partial;
-    // Private per-worker memo: DAG sharing still happens within a batch,
-    // without cross-thread writes to a shared cache.
-    DeltaCache cache;
     size_t batch_views = 0;  // batch size, fixed at dispatch
     int64_t nanos = 0;       // batch wall time, measured by the worker
   };
@@ -473,8 +443,8 @@ Status ViewManager::MaintainParallel(const std::vector<ViewId>& work,
           const int64_t start = tracing ? trace_->NowNanos() : 0;
           Stopwatch watch;
           for (size_t i = begin; i < end; ++i) {
-            state->status = MaintainOne(work[i], event, &state->cache, scratch,
-                                        t, &state->partial);
+            state->status =
+                MaintainOne(work[i], event, scratch, t, &state->partial);
             if (!state->status.ok()) break;
           }
           if (obs_on) state->nanos = watch.ElapsedNanos();
@@ -499,7 +469,6 @@ Status ViewManager::MaintainParallel(const std::vector<ViewId>& work,
     CHRONICLE_RETURN_NOT_OK(task.status);
     report->views_updated += task.partial.views_updated;
     report->delta_rows_applied += task.partial.delta_rows_applied;
-    cache_.MergeCounters(task.cache);
     if (obs_on) {
       report->batches.push_back(
           MaintenanceBatch{t, task.batch_views, task.nanos});
@@ -564,11 +533,8 @@ void ViewManager::set_observability(obs::MetricsRegistry* metrics,
 
 Result<const obs::ViewStats*> ViewManager::GetViewStats(
     const std::string& name) const {
-  auto it = by_name_.find(name);
-  if (it == by_name_.end()) {
-    return Status::NotFound("no view named '" + name + "'");
-  }
-  return &views_[it->second].stats;
+  CHRONICLE_ASSIGN_OR_RETURN(const ViewEntry* entry, FindEntry(name));
+  return &entry->stats;
 }
 
 void ViewManager::SnapshotViewStats(
@@ -590,47 +556,21 @@ void ViewManager::set_plan_profiling(bool enabled, size_t sample_period) {
 }
 
 Result<std::string> ViewManager::ExplainView(const std::string& name) const {
-  auto it = by_name_.find(name);
-  if (it == by_name_.end()) {
-    return Status::NotFound("no view named '" + name + "'");
-  }
-  const ViewEntry& entry = views_[it->second];
-  if (entry.compiled == nullptr) {
-    return std::string("view '") + name +
-           "': interpreted (plan outside CA, no compiled program)\n";
-  }
-  return "view '" + name + "'\n" + entry.compiled->Explain(&entry.slot_profile);
+  CHRONICLE_ASSIGN_OR_RETURN(const ViewEntry* entry, FindEntry(name));
+  return "view '" + name + "'\n" +
+         entry->compiled->Explain(&entry->slot_profile);
 }
 
 Result<std::string> ViewManager::ExplainViewJson(
     const std::string& name) const {
-  auto it = by_name_.find(name);
-  if (it == by_name_.end()) {
-    return Status::NotFound("no view named '" + name + "'");
-  }
-  const ViewEntry& entry = views_[it->second];
-  if (entry.compiled == nullptr) {
-    return "{\"view\":\"" + obs::JsonEscape(name) + "\",\"compiled\":false}";
-  }
-  return entry.compiled->ExplainJson(name, &entry.slot_profile);
-}
-
-Result<const std::vector<exec::SlotProfile>*> ViewManager::GetViewSlotProfile(
-    const std::string& name) const {
-  auto it = by_name_.find(name);
-  if (it == by_name_.end()) {
-    return Status::NotFound("no view named '" + name + "'");
-  }
-  return &views_[it->second].slot_profile;
+  CHRONICLE_ASSIGN_OR_RETURN(const ViewEntry* entry, FindEntry(name));
+  return entry->compiled->ExplainJson(name, &entry->slot_profile);
 }
 
 Result<const LatencyHistogram*> ViewManager::GetViewLatency(
     const std::string& name) const {
-  auto it = by_name_.find(name);
-  if (it == by_name_.end()) {
-    return Status::NotFound("no view named '" + name + "'");
-  }
-  return &views_[it->second].latency;
+  CHRONICLE_ASSIGN_OR_RETURN(const ViewEntry* entry, FindEntry(name));
+  return &entry->latency;
 }
 
 size_t ViewManager::MemoryFootprint() const {

@@ -28,7 +28,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "algebra/delta_engine.h"
 #include "common/histogram.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
@@ -62,22 +61,12 @@ struct MaintenanceOptions {
   // each worker at least this many views; below 2x this, run serially.
   // Guards against paying dispatch latency on ticks that touch few views.
   size_t min_views_per_task = 8;
-  // Execute deltas through the compiled DeltaPlan (src/exec) each view
-  // gets at registration time: flat post-order programs over reused
-  // scratch buffers, no per-tick memo hashing or per-operator allocation.
-  // false falls back to the tree-walking DeltaEngine interpreter (which is
-  // also what any view whose plan failed to compile uses). Results are
-  // identical either way (enforced by tests/plan_equivalence_fuzz_test.cc);
-  // only the constant factors differ (bench E13). Note the interpreter's
-  // cross-view DeltaCache sharing does not apply to compiled execution —
-  // sharing there is within-plan, by slot construction.
-  bool use_compiled_plans = true;
-  // Within compiled execution, run instructions the compiler marked
-  // columnar on the vectorized column kernels (exec/vector_kernels.h).
+  // Every view runs the compiled DeltaPlan (src/exec) it gets at
+  // registration time. This flag runs the instructions the compiler marked
+  // columnar on the vectorized column kernels (exec/vector_kernels.h);
   // false pins every instruction to the row engine. A pure runtime toggle
-  // on PlanScratch — flipping it never recompiles a plan — and byte-for-
-  // byte output equivalence is fuzzed three ways alongside the
-  // interpreter. No effect when use_compiled_plans is false.
+  // on PlanScratch — flipping it never recompiles a plan — and the two
+  // engines are byte-identical (tests/plan_equivalence_fuzz_test.cc).
   bool use_columnar_kernels = true;
 };
 
@@ -87,7 +76,6 @@ struct MaintenanceOptions {
 struct MaintenanceViewOutcome {
   ViewId view = 0;
   size_t delta_rows = 0;   // rows folded into the view this tick
-  bool compiled = false;   // served by the compiled DeltaPlan
 };
 
 // Timing of one fan-out batch. One entry is emitted PER TASK, in batch
@@ -123,7 +111,9 @@ class ViewManager {
 
   RoutingMode routing_mode() const { return mode_; }
 
-  // Registers a view and indexes its guards. The manager owns the view.
+  // Registers a view, compiles its delta plan and indexes its guards. The
+  // manager owns the view. A plan the compiler rejects (outside chronicle
+  // algebra, Theorem 4.3) fails here with the compiler's error.
   Result<ViewId> AddView(std::unique_ptr<PersistentView> view);
 
   // Unregisters a view: its materialized state is discarded and it stops
@@ -169,12 +159,6 @@ class ViewManager {
   // Sum of all views' materialized-table footprints.
   size_t MemoryFootprint() const;
 
-  // Delta-cache statistics: deltas of subexpressions shared between views
-  // (same scan, same guarded selection) are computed once per tick. Hits
-  // indicate sharing actually occurred (bench E9).
-  uint64_t delta_cache_hits() const { return cache_.hits(); }
-  uint64_t delta_cache_misses() const { return cache_.misses(); }
-
   // Per-view maintenance latency profiling (delta computation + fold).
   // Off by default: the timestamping costs two clock reads per view per
   // tick.
@@ -191,7 +175,6 @@ class ViewManager {
   // ViewStats, fills MaintenanceReport::views / ::batches, and emits
   // routing / worker / merge spans into `trace`.
   void set_observability(obs::MetricsRegistry* metrics, obs::TraceRing* trace);
-  bool observability_enabled() const { return metrics_ != nullptr; }
 
   // Accumulated statistics of one view (zeroed until observability is
   // attached and appends flow).
@@ -204,18 +187,12 @@ class ViewManager {
   // per-view SlotProfile accumulator. Independent of set_profiling (that
   // one times whole views; this times slots inside one view's plan).
   void set_plan_profiling(bool enabled, size_t sample_period);
-  bool plan_profiling() const { return plan_profiling_; }
 
   // EXPLAIN for one view: the compiled plan tree annotated with the
   // sampled per-slot time shares and row counts (structure only until
-  // samples exist). An interpreted-only view yields a one-line note (text)
-  // / {"compiled":false} (JSON).
+  // samples exist).
   Result<std::string> ExplainView(const std::string& name) const;
   Result<std::string> ExplainViewJson(const std::string& name) const;
-  // The raw accumulator (empty until a profiled tick ran); exposed for the
-  // database's flight recorder and tests.
-  Result<const std::vector<exec::SlotProfile>*> GetViewSlotProfile(
-      const std::string& name) const;
 
  private:
   // One equality conjunct `column = literal` of a guard.
@@ -234,9 +211,7 @@ class ViewManager {
   };
   struct ViewEntry {
     std::unique_ptr<PersistentView> view;
-    // Compiled at AddView (never on the append path); null only if the
-    // plan is outside CA, in which case the interpreter path — which
-    // rejects it with the same diagnostic — serves the view.
+    // Compiled at AddView, never on the append path.
     exec::DeltaPlanPtr compiled;
     std::vector<ScanGuard> guards;      // one per scan in the plan
     std::set<ChronicleId> chronicles;   // base chronicles the view reads
@@ -252,6 +227,9 @@ class ViewManager {
     uint64_t profile_clock = 0;  // ticks seen while plan profiling was on
   };
 
+  // The live entry named `name`; NotFound otherwise.
+  Result<const ViewEntry*> FindEntry(const std::string& name) const;
+
   // Extracts scan guards from a plan.
   static void CollectGuards(const CaExpr& expr,
                             std::vector<const ScalarExpr*>* pending,
@@ -264,13 +242,11 @@ class ViewManager {
   Result<bool> GuardsPass(const ViewEntry& entry, const AppendEvent& event) const;
 
   // Computes and folds one view's delta for the tick, accumulating into
-  // `report`. `cache` is the per-tick delta memo the call may share with
-  // other views (serial path: all views; parallel path: one per worker) —
-  // interpreter mode only. `scratch` is the reused-across-ticks compiled
-  // execution state (serial path: the manager's; parallel path: one per
-  // worker) — compiled mode only. `worker` is the fan-out task index (0 on
-  // the serial path), used to pick the metric shard.
-  Status MaintainOne(ViewId id, const AppendEvent& event, DeltaCache* cache,
+  // `report`. `scratch` is the reused-across-ticks execution state (serial
+  // path: the manager's; parallel path: one per worker). `worker` is the
+  // fan-out task index (0 on the serial path), used to pick the metric
+  // shard.
+  Status MaintainOne(ViewId id, const AppendEvent& event,
                      exec::PlanScratch* scratch, size_t worker,
                      MaintenanceReport* report);
 
@@ -298,8 +274,6 @@ class ViewManager {
   bool plan_profiling_ = false;     // per-slot EXPLAIN sampling
   size_t plan_sample_period_ = 16;  // profile every Nth tick per view
   size_t live_views_ = 0;
-  DeltaEngine engine_;
-  DeltaCache cache_;  // reset at the start of every ProcessAppend
   // Compiled-execution scratch, reused across ticks (clear, don't free).
   // scratch_ serves the serial path; worker_scratch_[t] is owned by task t
   // of the parallel fan-out — no shared mutable state between workers.

@@ -5,10 +5,10 @@
 #include <gtest/gtest.h>
 
 #include "algebra/complexity.h"
-#include "common/random.h"
-#include "algebra/delta_engine.h"
 #include "algebra/validate.h"
 #include "baseline/naive_engine.h"
+#include "common/random.h"
+#include "oracle/delta_engine.h"
 #include "views/persistent_view.h"
 
 namespace chronicle {

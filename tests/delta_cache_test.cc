@@ -1,9 +1,9 @@
-// Tests for the per-tick DeltaCache (DAG sharing across plans/views).
+// Tests for the interpreter oracle's per-tick DeltaCache (DAG sharing
+// across plans).
 
 #include <gtest/gtest.h>
 
-#include "algebra/delta_engine.h"
-#include "views/view_manager.h"
+#include "oracle/delta_engine.h"
 
 namespace chronicle {
 namespace {
@@ -87,7 +87,7 @@ TEST(DeltaCacheTest, ClearResetsMemoButKeepsCounters) {
 
 TEST(DeltaCacheTest, StaleCacheWouldServeOldTick) {
   // Documented sharp edge: a cache is only valid for one event. This test
-  // pins the contract (and is why ViewManager clears per append).
+  // pins the contract (callers clear it per append).
   CaExprPtr scan = CaExpr::Scan(0, "calls", CallSchema()).value();
   DeltaEngine engine;
   DeltaCache cache;
@@ -101,42 +101,6 @@ TEST(DeltaCacheTest, StaleCacheWouldServeOldTick) {
                    .value();
   ASSERT_EQ(stale.size(), 1u);
   EXPECT_EQ(stale[0].values[0], Value(1));  // tick 1's row, as specified
-}
-
-TEST(DeltaCacheTest, ViewManagerSharesScanAcrossViews) {
-  // Views registered over the SAME scan node trigger cache hits inside
-  // ProcessAppend. Cross-view sharing through DeltaCache is an interpreter
-  // mechanism — compiled plans share subexpressions within a plan by slot
-  // construction instead — so this test pins the interpreter path.
-  ViewManager manager(RoutingMode::kCheckAll);
-  MaintenanceOptions interpreted;
-  interpreted.use_compiled_plans = false;
-  manager.set_maintenance_options(interpreted);
-  CaExprPtr scan = CaExpr::Scan(0, "calls", CallSchema()).value();
-  for (int i = 0; i < 4; ++i) {
-    SummarySpec spec =
-        SummarySpec::GroupBy(scan->schema(), {"caller"},
-                             {AggSpec::Sum("minutes", "m" + std::to_string(i))})
-            .value();
-    ASSERT_TRUE(
-        manager
-            .AddView(PersistentView::Make(static_cast<ViewId>(i),
-                                          "v" + std::to_string(i), scan, spec)
-                         .value())
-            .ok());
-  }
-  ASSERT_TRUE(manager.ProcessAppend(Event(1, {Call(1, "NJ", 5)})).ok());
-  // 4 views over 1 shared scan: 1 miss, 3 hits.
-  EXPECT_EQ(manager.delta_cache_misses(), 1u);
-  EXPECT_EQ(manager.delta_cache_hits(), 3u);
-
-  // The cache resets between ticks: counts accumulate but stay correct.
-  ASSERT_TRUE(manager.ProcessAppend(Event(2, {Call(2, "NY", 7)})).ok());
-  EXPECT_EQ(manager.delta_cache_misses(), 2u);
-  EXPECT_EQ(manager.delta_cache_hits(), 6u);
-  // And the views saw both ticks.
-  PersistentView* v0 = manager.FindView("v0").value();
-  EXPECT_EQ(v0->ticks_applied(), 2u);
 }
 
 }  // namespace

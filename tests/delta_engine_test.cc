@@ -1,4 +1,4 @@
-#include "algebra/delta_engine.h"
+#include "oracle/delta_engine.h"
 
 #include <gtest/gtest.h>
 

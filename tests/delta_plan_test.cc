@@ -7,9 +7,9 @@
 #include <string>
 #include <vector>
 
-#include "algebra/delta_engine.h"
 #include "common/arena.h"
 #include "exec/plan_compiler.h"
+#include "oracle/delta_engine.h"
 #include "storage/relation.h"
 
 namespace chronicle {

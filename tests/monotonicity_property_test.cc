@@ -13,9 +13,9 @@
 #include <set>
 #include <unordered_set>
 
-#include "algebra/delta_engine.h"
 #include "baseline/naive_engine.h"
 #include "common/random.h"
+#include "oracle/delta_engine.h"
 
 namespace chronicle {
 namespace {

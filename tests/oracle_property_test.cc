@@ -13,6 +13,7 @@
 
 #include "baseline/naive_engine.h"
 #include "common/random.h"
+#include "oracle/delta_engine.h"
 #include "views/view_manager.h"
 
 namespace chronicle {

@@ -1,6 +1,7 @@
 // Fuzz equivalence: the compiled DeltaPlan executor must be byte-identical
-// to the DeltaEngine interpreter — same rows, same order, same errors — on
-// randomized chronicle-algebra expressions. Two layers:
+// to the DeltaEngine interpreter (the test-only oracle in tests/oracle) —
+// same rows, same order, same errors — on randomized chronicle-algebra
+// expressions. Two layers:
 //
 //   * Expression level: a depth-bounded random generator composes all ten
 //     legal CA operators (with schema-compatible Union/Difference operands
@@ -8,7 +9,8 @@
 //     engines over randomized append events, asserting identical
 //     ChronicleRow output tick by tick.
 //   * Database level: a mixed-shape view catalog is maintained under every
-//     routing mode x thread count x engine combination; all runs must
+//     routing mode x thread count x engine (row-compiled, columnar)
+//     combination; all runs must
 //     produce identical view contents, and within a routing mode identical
 //     MaintenanceReport counters.
 //
@@ -20,10 +22,10 @@
 #include <string>
 #include <vector>
 
-#include "algebra/delta_engine.h"
 #include "common/random.h"
 #include "db/database.h"
 #include "exec/plan_compiler.h"
+#include "oracle/delta_engine.h"
 #include "storage/relation.h"
 
 namespace chronicle {
@@ -405,19 +407,19 @@ TEST(PlanEquivalenceFuzzTest, DatabaseAgreesAcrossModesThreadsAndEngines) {
                                 RoutingMode::kEqIndex};
   std::vector<RunResult> per_mode_reference;
   for (RoutingMode mode : kModes) {
-    // Reference for this mode: serial interpreter.
+    // Reference for this mode: serial row-compiled.
     ChronicleDatabase reference_db(mode);
     ApplyDdl(&reference_db);
-    MaintenanceOptions interpreted;
-    interpreted.num_threads = 1;
-    interpreted.use_compiled_plans = false;
-    reference_db.ReconfigureMaintenance(interpreted);
+    MaintenanceOptions row_compiled;
+    row_compiled.num_threads = 1;
+    row_compiled.use_columnar_kernels = false;
+    reference_db.ReconfigureMaintenance(row_compiled);
     RunResult reference = DriveWorkload(&reference_db, seed);
 
     for (size_t threads : {1u, 2u, 8u}) {
-      // 0 = interpreter, 1 = row-compiled, 2 = columnar.
-      for (int eng : {0, 1, 2}) {
-        if (threads == 1 && eng == 0) continue;  // that IS the reference
+      // 1 = row-compiled, 2 = columnar.
+      for (int eng : {1, 2}) {
+        if (threads == 1 && eng == 1) continue;  // that IS the reference
         SCOPED_TRACE(testing::Message()
                      << "mode=" << static_cast<int>(mode)
                      << " threads=" << threads << " engine=" << eng);
@@ -426,7 +428,6 @@ TEST(PlanEquivalenceFuzzTest, DatabaseAgreesAcrossModesThreadsAndEngines) {
         MaintenanceOptions options;
         options.num_threads = threads;
         options.min_views_per_task = 1;
-        options.use_compiled_plans = eng != 0;
         options.use_columnar_kernels = eng == 2;
         db.ReconfigureMaintenance(options);
         RunResult run = DriveWorkload(&db, seed);

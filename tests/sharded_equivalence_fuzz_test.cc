@@ -1,9 +1,9 @@
 // Sharding equivalence fuzz: a ShardedDatabase must be observably
 // indistinguishable from one unsharded ChronicleDatabase fed the same
 // workload — byte-identical ScanView contents and QueryView answers — for
-// every num_shards in {1, 2, 8} and both maintenance engines (compiled
-// DeltaPlan and interpreter) on the shards. With num_shards == 1 the
-// router forwards verbatim, so the match must extend to engine counters
+// every num_shards in {1, 2, 8} (columnar engine on the shards), against
+// an unsharded row-compiled reference. With num_shards == 1 the router
+// forwards verbatim, so the match must extend to engine counters
 // (appends_processed, last SN): that is the bit-identical oracle the CI
 // gate relies on.
 //
@@ -317,15 +317,15 @@ TEST(ShardedEquivalenceFuzzTest, ShardedMatchesUnshardedAcrossEngines) {
   for (int v = 0; v < 12; ++v) shapes.push_back(RandomShape(&rng, v));
   const std::vector<Step> steps = MakeWorkload(seed ^ 0x9e3779b97f4a7c15ull);
 
-  // Reference: one unsharded engine, interpreter.
+  // Reference: one unsharded engine, row-compiled.
   ChronicleDatabase reference;
   ApplyBaseDdl(&reference);
   ApplyShapes(&reference, shapes);
   {
-    MaintenanceOptions interpreted;
-    interpreted.num_threads = 1;
-    interpreted.use_compiled_plans = false;
-    reference.ReconfigureMaintenance(interpreted);
+    MaintenanceOptions row_compiled;
+    row_compiled.num_threads = 1;
+    row_compiled.use_columnar_kernels = false;
+    reference.ReconfigureMaintenance(row_compiled);
   }
   Drive(&reference, steps);
   std::vector<std::vector<Tuple>> expected;
@@ -334,45 +334,41 @@ TEST(ShardedEquivalenceFuzzTest, ShardedMatchesUnshardedAcrossEngines) {
   }
 
   for (size_t num_shards : {1u, 2u, 8u}) {
-    for (bool compiled : {false, true}) {
-      SCOPED_TRACE(testing::Message()
-                   << "num_shards=" << num_shards << " compiled=" << compiled);
-      DatabaseOptions options;
-      options.sharding.num_shards = num_shards;
-      auto sharded = ShardedDatabase::Open(options).value();
-      ApplyBaseDdl(sharded.get());
-      ApplyShapes(sharded.get(), shapes);
-      for (size_t k = 0; k < sharded->num_shards(); ++k) {
-        MaintenanceOptions engine_options;
-        engine_options.num_threads = 1;
-        engine_options.use_compiled_plans = compiled;
-        sharded->engine(k).ReconfigureMaintenance(engine_options);
-      }
-      Drive(sharded.get(), steps);
+    SCOPED_TRACE(testing::Message() << "num_shards=" << num_shards);
+    DatabaseOptions options;
+    options.sharding.num_shards = num_shards;
+    auto sharded = ShardedDatabase::Open(options).value();
+    ApplyBaseDdl(sharded.get());
+    ApplyShapes(sharded.get(), shapes);
+    for (size_t k = 0; k < sharded->num_shards(); ++k) {
+      MaintenanceOptions engine_options;
+      engine_options.num_threads = 1;
+      sharded->engine(k).ReconfigureMaintenance(engine_options);
+    }
+    Drive(sharded.get(), steps);
 
-      for (size_t v = 0; v < shapes.size(); ++v) {
-        SCOPED_TRACE(shapes[v].name);
-        std::vector<Tuple> got = sharded->ScanView(shapes[v].name).value();
-        ASSERT_EQ(got, expected[v]);
-        // Point lookups agree too — both the aligned single-shard route
-        // and the merged multi-shard fold.
-        const size_t width = KeyWidth(shapes[v]);
-        for (size_t i = 0; i < got.size(); i += 3) {
-          Tuple key(got[i].begin(), got[i].begin() + width);
-          EXPECT_EQ(sharded->QueryView(shapes[v].name, key).value(), got[i]);
-        }
+    for (size_t v = 0; v < shapes.size(); ++v) {
+      SCOPED_TRACE(shapes[v].name);
+      std::vector<Tuple> got = sharded->ScanView(shapes[v].name).value();
+      ASSERT_EQ(got, expected[v]);
+      // Point lookups agree too — both the aligned single-shard route
+      // and the merged multi-shard fold.
+      const size_t width = KeyWidth(shapes[v]);
+      for (size_t i = 0; i < got.size(); i += 3) {
+        Tuple key(got[i].begin(), got[i].begin() + width);
+        EXPECT_EQ(sharded->QueryView(shapes[v].name, key).value(), got[i]);
       }
+    }
 
-      if (num_shards == 1) {
-        // The bit-identical oracle: with one shard the router IS the
-        // unsharded engine, down to its counters.
-        EXPECT_EQ(sharded->engine(0).appends_processed(),
-                  reference.appends_processed());
-        EXPECT_EQ(sharded->engine(0).group().last_sn(),
-                  reference.group().last_sn());
-        EXPECT_EQ(sharded->engine(0).group().last_chronon(),
-                  reference.group().last_chronon());
-      }
+    if (num_shards == 1) {
+      // The bit-identical oracle: with one shard the router IS the
+      // unsharded engine, down to its counters.
+      EXPECT_EQ(sharded->engine(0).appends_processed(),
+                reference.appends_processed());
+      EXPECT_EQ(sharded->engine(0).group().last_sn(),
+                reference.group().last_sn());
+      EXPECT_EQ(sharded->engine(0).group().last_chronon(),
+                reference.group().last_chronon());
     }
   }
 }
